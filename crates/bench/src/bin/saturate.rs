@@ -1,11 +1,10 @@
 //! Single-thread `Saturate_Network` micro-harness: times the production
-//! engine (CSR + radix-heap Dijkstra + incremental SSSP cache) against the
-//! retained pre-rewrite reference on the perf-gate circuits, and backs
-//! `scripts/perf_gate.sh`.
+//! engine (CSR + slot-queue Dijkstra) against the retained pre-rewrite
+//! reference on the perf-gate circuits, and backs `scripts/perf_gate.sh`.
 //!
-//! Before any timing, each circuit's optimized profile is checked
-//! [`result_eq`](ppet_flow::CongestionProfile::result_eq)-identical to the
-//! reference — a benchmark of a wrong answer is worthless.
+//! Before any timing, each circuit's optimized profile is checked equal
+//! to the reference's, work counters included — a benchmark of a wrong
+//! answer is worthless.
 //!
 //! Usage:
 //!
@@ -30,7 +29,7 @@ use ppet_graph::CircuitGraph;
 use ppet_netlist::data::table9;
 use ppet_trace::json;
 
-/// Circuits the gate runs on (see ISSUE/DESIGN §13): one mid-size
+/// Circuits the gate runs on (see DESIGN.md §13): one mid-size
 /// saturation-dominated compile and one small full-quota loop.
 const CIRCUITS: [&str; 2] = ["s1423", "s510"];
 const SEED: u64 = 7;
@@ -78,12 +77,12 @@ fn measure() -> Vec<Row> {
             let flow = ppet_bench::harness_flow(graph.num_nodes());
             assert_eq!(flow.replicas, 1, "the gate times the single-thread loop");
 
-            // Correctness before speed: the rewrite must be result-identical
-            // to the reference on the exact workload being timed.
+            // Correctness before speed: the rewrite must equal the
+            // reference on the exact workload being timed.
             let fast = saturate_network(&graph, &flow, SEED);
             let slow = saturate_network_reference(&graph, &flow, SEED);
             assert!(
-                fast.result_eq(&slow),
+                fast == slow,
                 "{name}: optimized saturation diverged from the reference"
             );
 

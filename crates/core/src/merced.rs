@@ -193,8 +193,6 @@ impl Merced {
                 ("flow.nodes_settled", search.settled),
                 ("flow.relaxations", search.relaxations),
                 ("flow.replicas", u64::from(self.config.flow.replicas)),
-                ("flow.requeue", search.requeued),
-                ("flow.reused", search.reused),
                 ("flow.shortfall_nodes", flow_shortfall_nodes as u64),
                 ("flow.trees_built", profile.num_trees() as u64),
             ],

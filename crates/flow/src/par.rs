@@ -135,8 +135,6 @@ pub fn saturate_network_par_traced(
         search.heap_pops += outcome.search.heap_pops;
         search.relaxations += outcome.search.relaxations;
         search.settled += outcome.search.settled;
-        search.reused += outcome.search.reused;
-        search.requeued += outcome.search.requeued;
     }
     let distance: Vec<f64> = flow
         .iter()
@@ -163,8 +161,6 @@ pub fn saturate_network_par_traced(
         tracer.add("flow.heap_pops", search.heap_pops);
         tracer.add("flow.relaxations", search.relaxations);
         tracer.add("flow.nodes_settled", search.settled);
-        tracer.add("flow.reused", search.reused);
-        tracer.add("flow.requeue", search.requeued);
     }
 
     CongestionProfile {

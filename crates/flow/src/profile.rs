@@ -77,25 +77,6 @@ impl CongestionProfile {
         self.shortfall.iter().filter(|&&s| s > 0).count()
     }
 
-    /// True when two profiles agree on every *algorithmic* output —
-    /// distances, flows, visit counts, tree count, saturation flag and
-    /// shortfall — ignoring the [`DijkstraStats`] work counters.
-    ///
-    /// This is the equivalence the saturation rewrite is tested under:
-    /// the reference and the CSR/radix-heap/cached engines must produce
-    /// identical results, but legitimately differ in how much search work
-    /// they spent getting there (`PartialEq` compares the counters too
-    /// and is the right notion *within* one engine).
-    #[must_use]
-    pub fn result_eq(&self, other: &Self) -> bool {
-        self.distance == other.distance
-            && self.flow == other.flow
-            && self.visits == other.visits
-            && self.trees == other.trees
-            && self.saturated == other.saturated
-            && self.shortfall == other.shortfall
-    }
-
     /// The raw distance vector (one slot per net id), for use as Dijkstra
     /// lengths or partitioner boundaries.
     #[must_use]

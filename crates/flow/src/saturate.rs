@@ -28,10 +28,10 @@ use crate::profile::CongestionProfile;
 ///
 /// The inner loop runs over the graph's packed [`Csr`](ppet_graph::Csr)
 /// view with a fixed-slot bucket-queue Dijkstra
-/// ([`dijkstra::DijkstraScratch::run_fast`]) and an incremental tree
-/// cache ([`dijkstra::SsspCache`]); the congestion result is bit-identical
-/// to the pre-rewrite implementation, which is retained as
-/// [`saturate_network_reference`] and property-tested against.
+/// ([`dijkstra::DijkstraScratch::run_fast`]); the whole profile, work
+/// counters included, equals the pre-rewrite implementation, which is
+/// retained as [`saturate_network_reference`] and property-tested
+/// against.
 ///
 /// # Panics
 ///
@@ -55,7 +55,7 @@ pub fn saturate_network(graph: &CircuitGraph, params: &FlowParams, seed: u64) ->
 }
 
 /// [`saturate_network`] with observability: reports trees built, heap
-/// pops, relaxations, settled/reused/requeued nodes and the CSR shape as
+/// pops, relaxations, settled nodes and the CSR shape as
 /// `flow.*` counters, and each tree's size into the `flow.tree_nodes`
 /// histogram.
 ///
@@ -107,8 +107,6 @@ pub fn saturate_network_traced(
         tracer.add("flow.heap_pops", outcome.search.heap_pops);
         tracer.add("flow.relaxations", outcome.search.relaxations);
         tracer.add("flow.nodes_settled", outcome.search.settled);
-        tracer.add("flow.reused", outcome.search.reused);
-        tracer.add("flow.requeue", outcome.search.requeued);
     }
 
     let saturated = outcome.shortfall.iter().all(|&s| s == 0);
@@ -185,9 +183,7 @@ impl DistTable {
 ///
 /// Determinism: the outcome is a pure function of
 /// `(graph, params, quota, tree_cap, rng)` — no shared mutable state — so
-/// replicas may execute on any worker in any order. The per-replica
-/// [`dijkstra::SsspCache`] preserves this: cache state is private to the
-/// replica and only ever changes *work counters*, never results.
+/// replicas may execute on any worker in any order.
 pub(crate) fn run_replica(
     graph: &CircuitGraph,
     params: &FlowParams,
@@ -204,7 +200,6 @@ pub(crate) fn run_replica(
     let mut trees = 0usize;
     let mut tree_sizes = Vec::new();
     let mut scratch = dijkstra::DijkstraScratch::new(n);
-    let mut cache = dijkstra::SsspCache::new(n, FlowParams::SSSP_CACHE_NODES);
     let mut table = DistTable::new();
     // Per-net tree-membership count: `flow[i]` is always `flow_of[hits[i]]`
     // in per-net mode.
@@ -222,7 +217,7 @@ pub(crate) fn run_replica(
         if visits[v.index()] == quota + 1 {
             below_count -= 1;
         }
-        cache.run(&mut scratch, csr, v, &distance);
+        scratch.run_fast(csr, v, &distance);
         trees += 1;
         if collect_tree_sizes {
             tree_sizes.push(scratch.visited_order().len() as u64);
@@ -231,11 +226,7 @@ pub(crate) fn run_replica(
             for (net, count) in scratch.tree_net_counts() {
                 let i = net.index();
                 flow[i] += params.delta * f64::from(count);
-                let nd = params.congestion_distance(flow[i]);
-                if nd.to_bits() != distance[i].to_bits() {
-                    distance[i] = nd;
-                    cache.note_changed(net);
-                }
+                distance[i] = params.congestion_distance(flow[i]);
             }
         } else {
             for (net, _) in scratch.tree_net_counts() {
@@ -244,11 +235,7 @@ pub(crate) fn run_replica(
                 let k = hits[i] as usize;
                 table.ensure(k, params);
                 flow[i] = table.flow_of[k];
-                let nd = table.dist_of[k];
-                if nd.to_bits() != distance[i].to_bits() {
-                    distance[i] = nd;
-                    cache.note_changed(net);
-                }
+                distance[i] = table.dist_of[k];
             }
         }
     }
@@ -270,13 +257,12 @@ pub(crate) fn run_replica(
 
 /// The pre-rewrite `Saturate_Network` implementation: binary-heap Dijkstra
 /// over the pointer-rich adjacency, per-tree sorted net lists, one `exp`
-/// per touched net, no caching.
+/// per touched net.
 ///
 /// Retained on purpose as the executable baseline: the `saturate` bench
 /// bin times it against the production path to measure the rewrite's
-/// speedup, and the equivalence tests assert the two agree on every
-/// algorithmic output ([`CongestionProfile::result_eq`] — work counters
-/// legitimately differ once the cache starts reusing trees).
+/// speedup, and the equivalence tests assert the two return equal
+/// profiles, work counters included.
 #[must_use]
 pub fn saturate_network_reference(
     graph: &CircuitGraph,
@@ -389,10 +375,10 @@ mod tests {
 
     #[test]
     fn matches_the_reference_implementation_bit_for_bit() {
-        // The rewrite contract: CSR + radix heap + SSSP cache + the
-        // memoized distance ladder change *work*, never *results*. The
-        // distance/flow vectors must agree to the last bit, in both
-        // accounting modes, across seeds.
+        // The rewrite contract: CSR + slot queue + the memoized distance
+        // ladder change *speed*, never the profile. Everything, work
+        // counters included, must agree, in both accounting modes,
+        // across seeds.
         let g = s27();
         for seed in [0, 1, 7, 42] {
             for per_branch in [false, true] {
@@ -400,7 +386,7 @@ mod tests {
                 p.per_branch = per_branch;
                 let fast = saturate_network(&g, &p, seed);
                 let slow = saturate_network_reference(&g, &p, seed);
-                assert!(fast.result_eq(&slow), "seed {seed} per_branch {per_branch}");
+                assert_eq!(fast, slow, "seed {seed} per_branch {per_branch}");
                 for (net, _) in g.nets() {
                     assert_eq!(
                         fast.distance(net).to_bits(),
@@ -411,30 +397,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn cache_reuse_shows_up_in_the_work_counters() {
-        // Peripheral sources (tiny trees whose parent nets rarely change)
-        // recur min_visit+ times; at least some of those recurrences must
-        // hit the cache, and the counters must stay internally consistent:
-        // every settled node was either reused, requeued, or found by a
-        // fresh search.
-        let g = s27();
-        let prof = saturate_network(&g, &FlowParams::quick(), 1);
-        let s = prof.search_stats();
-        assert!(s.reused > 0, "cache never reused a tree: {s:?}");
-        assert!(s.settled >= s.reused + s.requeued);
-        // The reference does strictly more heap work.
-        let r = saturate_network_reference(&g, &FlowParams::quick(), 1).search_stats();
-        assert!(
-            s.heap_pops < r.heap_pops,
-            "{} vs {}",
-            s.heap_pops,
-            r.heap_pops
-        );
-        assert_eq!(r.reused, 0);
-        assert_eq!(r.requeued, 0);
     }
 
     #[test]
@@ -525,8 +487,6 @@ mod tests {
         assert_eq!(report.counters["flow.heap_pops"], stats.heap_pops);
         assert_eq!(report.counters["flow.relaxations"], stats.relaxations);
         assert_eq!(report.counters["flow.nodes_settled"], stats.settled);
-        assert_eq!(report.counters["flow.reused"], stats.reused);
-        assert_eq!(report.counters["flow.requeue"], stats.requeued);
         assert_eq!(report.counters["flow.csr.nodes"], g.num_nodes() as u64);
         assert_eq!(
             report.counters["flow.csr.branches"],
@@ -581,15 +541,14 @@ mod tests {
 
     #[test]
     fn extreme_congestion_matches_the_reference_too() {
-        // In the clamped region the distance stops changing, which is
-        // exactly where the `note_changed` skip keeps cached trees alive —
-        // the results must still be bit-identical to the reference.
+        // In the clamped region the distance stops changing; the profile
+        // must still equal the reference's.
         let g = tiny();
         let mut p = FlowParams::quick();
         p.alpha = 1e6;
         let fast = saturate_network(&g, &p, 1);
         let slow = saturate_network_reference(&g, &p, 1);
-        assert!(fast.result_eq(&slow));
+        assert_eq!(fast, slow);
     }
 
     #[test]

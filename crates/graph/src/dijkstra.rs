@@ -6,32 +6,24 @@
 //! congestion distance `d(e)`. Ties are broken by node id so the tree — and
 //! therefore the whole stochastic flow process — is reproducible.
 //!
-//! Three interchangeable engines compute the tree:
+//! One production engine and one reference compute the tree:
 //!
+//! * [`DijkstraScratch::run_fast`] — the **production engine** behind
+//!   saturation and [`shortest_path_tree`]: a fixed-slot bucket queue
+//!   (`SlotQueue`) over the packed [`Csr`] adjacency, keyed by the top 16
+//!   bits of the distance's IEEE-754 bit pattern. For non-negative
+//!   doubles the bit pattern is a monotone fixed-point encoding, so the
+//!   slots cover the entire non-negative `f64` range (saturation's
+//!   clamped-exponential weights span `[1, e^700]`, far beyond any bounded
+//!   calendar), entries never migrate between slots, and the drain order
+//!   reproduces the binary heap's `(distance, node)` order exactly.
 //! * [`DijkstraScratch::run`] — the **reference**: a `BinaryHeap` over the
 //!   pointer-rich [`CircuitGraph`] adjacency. Kept as the executable
-//!   specification the property tests compare against.
-//! * [`DijkstraScratch::run_csr`] — a monotone radix (bucket) heap over
-//!   the packed [`Csr`] adjacency. Distances are quantized onto the
-//!   2⁶⁴-point grid of their IEEE-754 bit patterns — for non-negative
-//!   doubles the bit pattern is a monotone fixed-point encoding, so bucket
-//!   order is *exact* and the results (distances, parents, settle order,
-//!   even the work counters) are bit-identical to the reference. See
-//!   `DESIGN.md` §13.
-//! * [`DijkstraScratch::run_fast`] — the **saturation hot path**: a
-//!   fixed-slot bucket queue (`SlotQueue`) keyed by the top 16 bits of
-//!   the distance bit pattern. The slots cover the entire non-negative
-//!   `f64` range (saturation's clamped-exponential weights span
-//!   `[1, e^700]`, far beyond any bounded calendar), entries never
-//!   migrate between slots, and the drain order reproduces the binary
-//!   heap's `(distance, node)` order exactly — so *everything* observable
-//!   (distances, parents, settle order, work counters) is bit-identical
-//!   to the reference, at a fraction of the per-settle cost of either
-//!   heap.
+//!   specification the property tests and the `saturate` bench compare
+//!   against.
 //!
-//! [`SsspCache`] adds an incremental layer for the saturation loop: when
-//! the congestion weights a cached tree depends on did not change between
-//! trees, the unchanged part is reused instead of re-relaxed.
+//! Everything observable — distances, parents, settle order and work
+//! counters — is bit-identical between the two. See `DESIGN.md` §13.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -109,89 +101,6 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// A monotone radix heap over `(f64-bit key, node)` pairs.
-///
-/// Keys are the raw bit patterns of non-negative `f64` distances — a
-/// monotone 64-bit fixed-point quantization, so comparing keys compares
-/// distances exactly. Entries live in 65 buckets indexed by the highest
-/// bit in which the key differs from the last extracted minimum; bucket 0
-/// holds keys *equal* to that minimum and is kept sorted by node id
-/// (descending, so popping from the back yields the smallest node).
-/// Because Dijkstra only inserts keys ≥ the current minimum, every entry
-/// moves to a strictly lower bucket each redistribution, giving amortized
-/// O(64) per operation — and pops leave in exactly the `(distance, node)`
-/// order a tie-broken binary heap produces, which is what makes
-/// [`DijkstraScratch::run_csr`] bit-identical to the reference.
-#[derive(Debug, Clone, Default)]
-struct RadixHeap {
-    buckets: Vec<Vec<(u64, u32)>>,
-    last: u64,
-    len: usize,
-}
-
-impl RadixHeap {
-    fn new() -> Self {
-        Self {
-            buckets: vec![Vec::new(); 65],
-            last: 0,
-            len: 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.last = 0;
-        self.len = 0;
-    }
-
-    fn bucket_of(last: u64, key: u64) -> usize {
-        if key == last {
-            0
-        } else {
-            64 - (key ^ last).leading_zeros() as usize
-        }
-    }
-
-    fn push(&mut self, key: u64, node: u32) {
-        debug_assert!(key >= self.last, "radix heap requires monotone keys");
-        let i = Self::bucket_of(self.last, key);
-        if i == 0 {
-            // Keep bucket 0 sorted by node id descending: O(1) pops in
-            // ascending node order, the binary heap's tie order.
-            let b = &mut self.buckets[0];
-            let pos = b.partition_point(|&(_, n)| n > node);
-            b.insert(pos, (key, node));
-        } else {
-            self.buckets[i].push((key, node));
-        }
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u64, u32)> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.buckets[0].is_empty() {
-            let i = (1..=64)
-                .find(|&i| !self.buckets[i].is_empty())
-                .expect("len > 0 but all buckets empty");
-            let min = self.buckets[i].iter().copied().min().expect("nonempty");
-            self.last = min.0;
-            let drained = std::mem::take(&mut self.buckets[i]);
-            for (key, node) in drained {
-                let j = Self::bucket_of(self.last, key);
-                debug_assert!(j < i, "redistribution must strictly descend");
-                self.buckets[j].push((key, node));
-            }
-            self.buckets[0].sort_unstable_by_key(|b| std::cmp::Reverse(b.1));
-        }
-        self.len -= 1;
-        self.buckets[0].pop()
-    }
-}
-
 /// A monotone fixed-slot bucket queue over `(f64-bit key, node)` pairs —
 /// the engine behind [`DijkstraScratch::run_fast`].
 ///
@@ -200,9 +109,9 @@ impl RadixHeap {
 /// doubles, so [`NUM_SLOTS`] = 2¹⁵ slots cover the entire
 /// non-negative `f64` range — including `+inf` — with an exponentially
 /// scaled grid whose slot width is a fixed ×(1 + 2⁻⁴) distance band.
-/// Unlike a radix heap, entries never migrate: a push lands in its final
-/// slot, and a two-level occupancy bitmap finds the next occupied slot in
-/// a handful of word scans. The slot being drained is sorted descending
+/// Entries never migrate: a push lands in its final slot, and a
+/// two-level occupancy bitmap finds the next occupied slot in a handful
+/// of word scans. The slot being drained is sorted descending
 /// by `(key, node)` once, and same-slot arrivals (Dijkstra pushes keys ≥
 /// the minimum, so they can land in the cursor slot but never before it)
 /// are inserted in order — pops therefore leave in exactly the
@@ -362,7 +271,7 @@ pub fn shortest_path_tree(
     length: &[f64],
 ) -> ShortestPathTree {
     let mut scratch = DijkstraScratch::new(graph.num_nodes());
-    scratch.run_csr(graph.csr(), source, length);
+    scratch.run_fast(graph.csr(), source, length);
     ShortestPathTree {
         dist: scratch.dist.clone(),
         parent_net: scratch.parent_net.clone(),
@@ -389,7 +298,7 @@ pub fn shortest_path_tree(
 /// let g = CircuitGraph::from_circuit(&data::s27());
 /// let unit = vec![1.0; g.num_nodes()];
 /// let mut scratch = DijkstraScratch::new(g.num_nodes());
-/// scratch.run_csr(g.csr(), g.find("G0").unwrap(), &unit);
+/// scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
 /// let visited = scratch.visited_order().len();
 /// assert!(visited >= 2);
 /// ```
@@ -401,7 +310,6 @@ pub struct DijkstraScratch {
     done: Vec<bool>,
     epoch: u32,
     heap: BinaryHeap<HeapEntry>,
-    radix: RadixHeap,
     slot_queue: SlotQueue,
     visited: Vec<CellId>,
     net_stamp: Vec<u32>,
@@ -420,26 +328,8 @@ pub struct DijkstraStats {
     pub heap_pops: u64,
     /// Successful relaxations (`dist` improvements pushed to the heap).
     pub relaxations: u64,
-    /// Nodes settled (final distance fixed) — restored-from-cache nodes
-    /// count too, so this always equals the total tree size.
+    /// Nodes settled (final distance fixed): the total tree size.
     pub settled: u64,
-    /// Nodes whose `(distance, parent)` were reused verbatim from a
-    /// cached tree by the incremental path ([`SsspCache`]); zero for
-    /// fresh runs.
-    pub reused: u64,
-    /// Nodes an incremental run had to requeue and re-relax because a
-    /// congestion weight on their cached tree path changed; zero for
-    /// fresh runs.
-    pub requeued: u64,
-}
-
-/// One node of a cached shortest-path tree, in settle order.
-#[derive(Debug, Clone, Copy)]
-struct CacheNode {
-    node: u32,
-    /// Parent net id, `u32::MAX` for the source.
-    parent: u32,
-    dist: f64,
 }
 
 impl DijkstraScratch {
@@ -453,7 +343,6 @@ impl DijkstraScratch {
             done: vec![false; n],
             epoch: 0,
             heap: BinaryHeap::new(),
-            radix: RadixHeap::new(),
             slot_queue: SlotQueue::new(),
             visited: Vec::new(),
             net_stamp: vec![0; n],
@@ -483,7 +372,6 @@ impl DijkstraScratch {
             self.epoch = 1;
         }
         self.heap.clear();
-        self.radix.clear();
         self.slot_queue.reset();
         self.visited.clear();
         self.tree_list.clear();
@@ -523,9 +411,8 @@ impl DijkstraScratch {
     /// readable until the next run via [`DijkstraScratch::distance`],
     /// [`DijkstraScratch::parent`], and [`DijkstraScratch::visited_order`].
     ///
-    /// This is the executable specification [`DijkstraScratch::run_csr`]
-    /// is property-tested against; the hot saturation loop uses the CSR
-    /// variant.
+    /// This is the executable specification [`DijkstraScratch::run_fast`]
+    /// is property-tested against; the saturation loop uses `run_fast`.
     ///
     /// # Panics
     ///
@@ -581,63 +468,6 @@ impl DijkstraScratch {
                 {
                     // Equal distance: prefer the smaller parent net id so
                     // the tree is unique regardless of heap pop order.
-                    self.parent_net[wi] = Some(net);
-                }
-            }
-        }
-    }
-
-    /// Runs the radix-heap Dijkstra over the packed [`Csr`] adjacency —
-    /// the production engine of `Saturate_Network`.
-    ///
-    /// Bit-identical to [`DijkstraScratch::run`] in every observable:
-    /// distances, parents, settle order, and work counters. The heap keys
-    /// are the distances' IEEE-754 bit patterns (an exact monotone
-    /// quantization for non-negative doubles) and bucket 0 pops in node-id
-    /// order, reproducing the reference's `(distance, node)` tie-break.
-    ///
-    /// # Panics
-    ///
-    /// As [`DijkstraScratch::run`]: length-vector size mismatch, or a
-    /// negative/NaN length consumed by the search.
-    pub fn run_csr(&mut self, csr: &Csr, source: CellId, length: &[f64]) {
-        assert_eq!(
-            length.len(),
-            csr.num_nodes(),
-            "one length per net slot required"
-        );
-        self.begin();
-        let s = source.index();
-        self.fresh(s);
-        self.dist[s] = 0.0;
-        self.radix.push(0, s as u32); // 0.0f64.to_bits() == 0
-        while let Some((key, node)) = self.radix.pop() {
-            self.stats.heap_pops += 1;
-            let v = node as usize;
-            if self.done[v] {
-                continue;
-            }
-            let d = f64::from_bits(key);
-            self.settle(v);
-            let net = CellId::from_index(v);
-            let l = length[v];
-            assert!(
-                l >= 0.0,
-                "net length of node {v} must be non-negative and not NaN, got {l}"
-            );
-            for &w in csr.sinks(net) {
-                let wi = w.index();
-                self.fresh(wi);
-                let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(net);
-                    self.stats.relaxations += 1;
-                    self.radix.push(nd.to_bits(), wi as u32);
-                } else if nd == self.dist[wi]
-                    && !self.done[wi]
-                    && should_replace(self.parent_net[wi], net)
-                {
                     self.parent_net[wi] = Some(net);
                 }
             }
@@ -719,127 +549,6 @@ impl DijkstraScratch {
         self.stats.relaxations += relaxations;
     }
 
-    /// Restores a cached tree verbatim: every node settles with its
-    /// cached distance and parent, no search work at all.
-    fn restore_tree(&mut self, nodes: &[CacheNode]) {
-        self.begin();
-        for e in nodes {
-            let v = e.node as usize;
-            self.fresh(v);
-            self.dist[v] = e.dist;
-            self.parent_net[v] = cached_parent(e.parent);
-            self.settle(v);
-            self.stats.reused += 1;
-        }
-    }
-
-    /// Incremental run: restores the `valid` subset of a cached tree and
-    /// re-searches only the invalidated remainder, seeded by relaxing
-    /// every branch from a restored node into the non-restored region.
-    ///
-    /// Soundness (see `DESIGN.md` §13): congestion weights only ever
-    /// increase, so a node whose cached tree path avoids every changed
-    /// net keeps its exact distance *and* — because the tie rule picks the
-    /// smallest net id among minimal candidates, and non-minimal
-    /// candidates only move further from the minimum — its exact parent.
-    /// Strictly positive lengths are required (saturation's congestion
-    /// distances are ≥ 1): a zero-length branch could tie a node to a
-    /// predecessor that a fresh run would settle *after* it, where the
-    /// reference blocks the equal-distance parent swap.
-    fn run_seeded(
-        &mut self,
-        csr: &Csr,
-        source: CellId,
-        length: &[f64],
-        cached: &[CacheNode],
-        valid: &[bool],
-    ) {
-        assert_eq!(
-            length.len(),
-            csr.num_nodes(),
-            "one length per net slot required"
-        );
-        debug_assert_eq!(cached.first().map(|e| e.node), Some(source.index() as u32));
-        let _ = source;
-        self.begin();
-        // 1. Restore the still-valid nodes, preserving their relative
-        //    settle order (a parent always precedes its children).
-        for (e, &ok) in cached.iter().zip(valid) {
-            if !ok {
-                continue;
-            }
-            let v = e.node as usize;
-            self.fresh(v);
-            self.dist[v] = e.dist;
-            self.parent_net[v] = cached_parent(e.parent);
-            self.settle(v);
-            self.stats.reused += 1;
-        }
-        // 2. Seed: relax every branch leaving a restored node into the
-        //    not-yet-settled region. Order does not matter — the improve /
-        //    equal-min-net rules make the outcome order-independent.
-        let restored = self.visited.len();
-        for idx in 0..restored {
-            let u = self.visited[idx];
-            let ui = u.index();
-            let d = self.dist[ui];
-            let l = length[ui];
-            assert!(
-                l > 0.0,
-                "incremental SSSP requires strictly positive lengths, got {l} at node {ui}"
-            );
-            for &w in csr.sinks(u) {
-                let wi = w.index();
-                self.fresh(wi);
-                if self.done[wi] {
-                    continue;
-                }
-                let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(u);
-                    self.stats.relaxations += 1;
-                    self.radix.push(nd.to_bits(), wi as u32);
-                } else if nd == self.dist[wi] && should_replace(self.parent_net[wi], u) {
-                    self.parent_net[wi] = Some(u);
-                }
-            }
-        }
-        // 3. Search the invalidated region, exactly the run_csr main loop.
-        while let Some((key, node)) = self.radix.pop() {
-            self.stats.heap_pops += 1;
-            let v = node as usize;
-            if self.done[v] {
-                continue;
-            }
-            let d = f64::from_bits(key);
-            self.settle(v);
-            self.stats.requeued += 1;
-            let net = CellId::from_index(v);
-            let l = length[v];
-            assert!(
-                l > 0.0,
-                "incremental SSSP requires strictly positive lengths, got {l} at node {v}"
-            );
-            for &w in csr.sinks(net) {
-                let wi = w.index();
-                self.fresh(wi);
-                if self.done[wi] {
-                    continue;
-                }
-                let nd = d + l;
-                if nd < self.dist[wi] {
-                    self.dist[wi] = nd;
-                    self.parent_net[wi] = Some(net);
-                    self.stats.relaxations += 1;
-                    self.radix.push(nd.to_bits(), wi as u32);
-                } else if nd == self.dist[wi] && should_replace(self.parent_net[wi], net) {
-                    self.parent_net[wi] = Some(net);
-                }
-            }
-        }
-    }
-
     /// Distance of `node` from the last run's source (`INFINITY` when
     /// unreached).
     #[must_use]
@@ -861,9 +570,7 @@ impl DijkstraScratch {
         }
     }
 
-    /// Nodes settled by the last run, in settle order (source first). An
-    /// incremental run lists the restored nodes first (in their cached
-    /// relative order), then the re-searched ones.
+    /// Nodes settled by the last run, in settle order (source first).
     #[must_use]
     pub fn visited_order(&self) -> &[CellId] {
         &self.visited
@@ -901,216 +608,10 @@ impl DijkstraScratch {
     }
 }
 
-fn cached_parent(raw: u32) -> Option<NetId> {
-    (raw != u32::MAX).then(|| CellId::from_index(raw as usize))
-}
-
 fn should_replace(current: Option<NetId>, candidate: NetId) -> bool {
     match current {
         None => true,
         Some(c) => candidate < c,
-    }
-}
-
-/// One cached shortest-path tree plus the clock tick it was built at.
-#[derive(Debug, Clone)]
-struct CachedTree {
-    built_at: u64,
-    /// [`SsspCache::note_changed`] total at build time, for the O(1)
-    /// nothing-changed and hopeless fast paths.
-    changes_at_build: u64,
-    nodes: Vec<CacheNode>,
-}
-
-/// Incremental single-source shortest-path cache for the saturation loop.
-///
-/// `Saturate_Network` redraws every source ≥ `min_visit` times while the
-/// congestion weights *only ever increase* (flow is only added). Under
-/// monotone weight increases a cached tree node stays exact as long as no
-/// net on its root path changed — so when a source recurs, the cache
-/// revalidates its previous tree with one linear walk and either reuses
-/// it wholly (no search at all), reuses the unchanged part and re-relaxes
-/// only the invalidated subtrees ([`DijkstraScratch`] seeded run — only
-/// worth it when at least half the tree survives), or falls back to a
-/// fresh [`DijkstraScratch::run_fast`].
-///
-/// # Contract
-///
-/// * Between two [`SsspCache::run`] calls, weights may only **increase**,
-///   and every net whose weight changed must be reported via
-///   [`SsspCache::note_changed`]. Violating this silently yields stale
-///   distances.
-/// * Lengths must be ≥ 1 (congestion distances are `exp(non-negative)`):
-///   the seeded partial re-search is unsound for zero-length branches.
-///
-/// Results are bit-identical to fresh runs regardless of cache hits; only
-/// the [`DijkstraStats`] work counters (`reused`, `requeued`, and the
-/// reduced `heap_pops`/`relaxations`) reveal the shortcut. The cache
-/// bounds its memory by `budget_nodes` total cached tree nodes; sources
-/// past the budget simply run fresh, which cannot change any result.
-///
-/// Because any heuristic here is result-invisible, the cache also defends
-/// its own overhead: a global change counter gives an O(1) "nothing
-/// changed at all" restore that skips the validity walk, and after
-/// [`SsspCache::MISS_STREAK_OFF`] consecutive failed reuses it stops
-/// *storing* trees until the weights freeze (mid-saturation on a large
-/// circuit every tree invalidates everything, so storing is pure waste;
-/// once congestion clamps and distances stop moving, storing resumes and
-/// full-tree restores kick in).
-///
-/// # Examples
-///
-/// ```
-/// use ppet_graph::{dijkstra::{DijkstraScratch, SsspCache}, CircuitGraph};
-/// use ppet_netlist::data;
-///
-/// let g = CircuitGraph::from_circuit(&data::s27());
-/// let unit = vec![1.0; g.num_nodes()];
-/// let mut scratch = DijkstraScratch::new(g.num_nodes());
-/// let mut cache = SsspCache::new(g.num_nodes(), 1 << 16);
-/// let src = g.find("G0").unwrap();
-/// cache.run(&mut scratch, g.csr(), src, &unit);
-/// let first: Vec<f64> = g.nodes().map(|v| scratch.distance(v)).collect();
-/// // No weight changed: the second run reuses the whole tree.
-/// cache.run(&mut scratch, g.csr(), src, &unit);
-/// let second: Vec<f64> = g.nodes().map(|v| scratch.distance(v)).collect();
-/// assert_eq!(first, second);
-/// assert!(scratch.stats().reused > 0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SsspCache {
-    trees: Vec<Option<CachedTree>>,
-    last_changed: Vec<u64>,
-    clock: u64,
-    budget: usize,
-    used: usize,
-    valid_stamp: Vec<u32>,
-    valid_epoch: u32,
-    valid_flags: Vec<bool>,
-    /// Total [`SsspCache::note_changed`] calls ever; a cached tree built
-    /// when this had the same value is trivially fully valid.
-    changes: u64,
-    /// `changes` as of the previous [`SsspCache::run`] — equal to
-    /// `changes` when the weights have frozen.
-    changes_at_prev_run: u64,
-    /// Consecutive runs that found a cached tree but could not restore
-    /// it whole.
-    miss_streak: u32,
-}
-
-impl SsspCache {
-    /// After this many consecutive failed full-tree reuses the cache
-    /// stops storing trees (each store copies the whole tree for
-    /// nothing) until a run observes zero weight changes — the signal
-    /// that congestion has clamped and reuse can start paying again.
-    pub const MISS_STREAK_OFF: u32 = 64;
-
-    /// Creates a cache for graphs of `n` nodes holding at most
-    /// `budget_nodes` cached tree nodes across all sources.
-    #[must_use]
-    pub fn new(n: usize, budget_nodes: usize) -> Self {
-        Self {
-            trees: vec![None; n],
-            last_changed: vec![0; n],
-            clock: 0,
-            budget: budget_nodes,
-            used: 0,
-            valid_stamp: vec![0; n],
-            valid_epoch: 0,
-            valid_flags: Vec::new(),
-            changes: 0,
-            changes_at_prev_run: 0,
-            miss_streak: 0,
-        }
-    }
-
-    /// Records that `net`'s weight changed after the most recent
-    /// [`SsspCache::run`]. Call once per changed net per tree.
-    pub fn note_changed(&mut self, net: NetId) {
-        self.last_changed[net.index()] = self.clock;
-        self.changes += 1;
-    }
-
-    /// Computes the shortest-path tree from `source` into `scratch`,
-    /// reusing whatever the cache proves unchanged. Results in `scratch`
-    /// are bit-identical to `scratch.run_fast(csr, source, length)`.
-    pub fn run(
-        &mut self,
-        scratch: &mut DijkstraScratch,
-        csr: &Csr,
-        source: CellId,
-        length: &[f64],
-    ) {
-        self.clock += 1;
-        let frozen = self.changes == self.changes_at_prev_run;
-        self.changes_at_prev_run = self.changes;
-        let s = source.index();
-        match self.trees[s].take() {
-            None => scratch.run_fast(csr, source, length),
-            Some(tree) => {
-                let changes_since = self.changes - tree.changes_at_build;
-                if changes_since == 0 {
-                    // Nothing anywhere changed since this tree was built.
-                    self.miss_streak = 0;
-                    scratch.restore_tree(&tree.nodes);
-                    self.trees[s] = Some(tree);
-                    return;
-                }
-                self.valid_epoch = self.valid_epoch.wrapping_add(1);
-                if self.valid_epoch == 0 {
-                    self.valid_stamp.fill(u32::MAX);
-                    self.valid_epoch = 1;
-                }
-                self.valid_flags.clear();
-                let mut valid_count = 0usize;
-                for e in &tree.nodes {
-                    let ok = e.parent == u32::MAX
-                        || (self.valid_stamp[e.parent as usize] == self.valid_epoch
-                            && self.last_changed[e.parent as usize] < tree.built_at);
-                    if ok {
-                        self.valid_stamp[e.node as usize] = self.valid_epoch;
-                        valid_count += 1;
-                    }
-                    self.valid_flags.push(ok);
-                }
-                if valid_count == tree.nodes.len() {
-                    self.miss_streak = 0;
-                    scratch.restore_tree(&tree.nodes);
-                    self.trees[s] = Some(tree);
-                    return;
-                }
-                self.miss_streak = self.miss_streak.saturating_add(1);
-                self.used -= tree.nodes.len();
-                if 2 * valid_count >= tree.nodes.len() {
-                    // Enough survives for the seeded re-search to beat a
-                    // fresh run.
-                    scratch.run_seeded(csr, source, length, &tree.nodes, &self.valid_flags);
-                } else {
-                    scratch.run_fast(csr, source, length);
-                }
-            }
-        }
-        if self.miss_streak >= Self::MISS_STREAK_OFF && !frozen {
-            return;
-        }
-        let len = scratch.visited_order().len();
-        if self.used + len <= self.budget {
-            let nodes: Vec<CacheNode> = scratch
-                .visited_order()
-                .iter()
-                .map(|&v| CacheNode {
-                    node: v.index() as u32,
-                    parent: scratch.parent(v).map_or(u32::MAX, |p| p.index() as u32),
-                    dist: scratch.distance(v),
-                })
-                .collect();
-            self.used += len;
-            self.trees[s] = Some(CachedTree {
-                built_at: self.clock,
-                changes_at_build: self.changes,
-                nodes,
-            });
-        }
     }
 }
 
@@ -1204,87 +705,17 @@ mod tests {
     }
 
     #[test]
-    fn csr_run_matches_reference_exactly() {
-        let g = s27_graph();
-        let lengths: Vec<f64> = (0..g.num_nodes()).map(|i| (i % 7) as f64 * 0.5).collect();
-        for src in g.nodes() {
-            let mut a = DijkstraScratch::new(g.num_nodes());
-            a.run(&g, src, &lengths);
-            let mut b = DijkstraScratch::new(g.num_nodes());
-            b.run_csr(g.csr(), src, &lengths);
-            assert_eq!(a.visited_order(), b.visited_order(), "src {src}");
-            assert_eq!(a.stats(), b.stats(), "src {src}");
-            for v in g.nodes() {
-                assert_eq!(a.distance(v).to_bits(), b.distance(v).to_bits());
-                assert_eq!(a.parent(v), b.parent(v));
-            }
-            assert_eq!(a.tree_nets(), b.tree_nets());
-            assert_eq!(a.tree_net_branch_counts(), b.tree_net_branch_counts());
-        }
-    }
-
-    #[test]
     fn tree_net_counts_agree_with_sorted_views() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
         let mut scratch = DijkstraScratch::new(g.num_nodes());
-        scratch.run_csr(g.csr(), g.find("G0").unwrap(), &unit);
+        scratch.run_fast(g.csr(), g.find("G0").unwrap(), &unit);
         let mut from_iter: Vec<(NetId, usize)> = scratch
             .tree_net_counts()
             .map(|(n, c)| (n, c as usize))
             .collect();
         from_iter.sort_unstable();
         assert_eq!(from_iter, scratch.tree_net_branch_counts());
-    }
-
-    #[test]
-    fn sssp_cache_reuses_and_invalidates_correctly() {
-        let g = s27_graph();
-        let n = g.num_nodes();
-        let mut lengths = vec![1.0; n];
-        let src = g.find("G9").unwrap();
-
-        let mut scratch = DijkstraScratch::new(n);
-        let mut cache = SsspCache::new(n, 1 << 16);
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        let baseline: Vec<u64> = g.nodes().map(|v| scratch.distance(v).to_bits()).collect();
-
-        // Unchanged weights: full reuse, identical results.
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        assert!(scratch.stats().reused > 0);
-        assert_eq!(scratch.stats().requeued, 0);
-        let again: Vec<u64> = g.nodes().map(|v| scratch.distance(v).to_bits()).collect();
-        assert_eq!(baseline, again);
-
-        // Increase a weight on the tree: the invalidated part is re-run
-        // and the result matches a fresh run bit for bit.
-        let changed = scratch.tree_nets()[0];
-        lengths[changed.index()] += 2.5;
-        cache.note_changed(changed);
-        cache.run(&mut scratch, g.csr(), src, &lengths);
-        let incremental: Vec<u64> = g.nodes().map(|v| scratch.distance(v).to_bits()).collect();
-        let inc_parents: Vec<Option<NetId>> = g.nodes().map(|v| scratch.parent(v)).collect();
-
-        let mut fresh = DijkstraScratch::new(n);
-        fresh.run_csr(g.csr(), src, &lengths);
-        let want: Vec<u64> = g.nodes().map(|v| fresh.distance(v).to_bits()).collect();
-        let want_parents: Vec<Option<NetId>> = g.nodes().map(|v| fresh.parent(v)).collect();
-        assert_eq!(incremental, want);
-        assert_eq!(inc_parents, want_parents);
-    }
-
-    #[test]
-    fn sssp_cache_with_zero_budget_always_runs_fresh() {
-        let g = s27_graph();
-        let n = g.num_nodes();
-        let unit = vec![1.0; n];
-        let src = g.find("G0").unwrap();
-        let mut scratch = DijkstraScratch::new(n);
-        let mut cache = SsspCache::new(n, 0);
-        cache.run(&mut scratch, g.csr(), src, &unit);
-        cache.run(&mut scratch, g.csr(), src, &unit);
-        assert_eq!(scratch.stats().reused, 0);
-        assert_eq!(scratch.stats().requeued, 0);
     }
 
     #[test]
@@ -1349,30 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn radix_heap_pops_in_distance_then_node_order() {
-        let mut h = RadixHeap::new();
-        let keys = [5.0f64, 1.25, 5.0, 0.0, 1.25, 9.75];
-        for (i, k) in keys.iter().enumerate() {
-            h.push(k.to_bits(), i as u32);
-        }
-        let mut popped = Vec::new();
-        while let Some((k, n)) = h.pop() {
-            popped.push((f64::from_bits(k), n));
-        }
-        assert_eq!(
-            popped,
-            vec![
-                (0.0, 3),
-                (1.25, 1),
-                (1.25, 4),
-                (5.0, 0),
-                (5.0, 2),
-                (9.75, 5)
-            ]
-        );
-    }
-
-    #[test]
     fn stats_accumulate_and_reset() {
         let g = s27_graph();
         let unit = vec![1.0; g.num_nodes()];
@@ -1396,10 +803,12 @@ mod tests {
         assert_eq!(scratch.stats(), DijkstraStats::default());
     }
 
-    // The two rejection tests below are regression tests for a release-mode
+    // The rejection tests below are regression tests for a release-mode
     // hole: the length check used to be a `debug_assert!`, so `--release`
     // builds accepted NaN (and negative) lengths and silently corrupted the
-    // heap order. CI runs them under the release profile as well.
+    // heap order. CI runs them under the release profile as well. Each
+    // engine gets a negative and a NaN case; the `_by_csr_run` pair
+    // reaches `run_fast` through `shortest_path_tree`.
 
     #[test]
     #[should_panic(expected = "non-negative")]

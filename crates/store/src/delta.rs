@@ -13,8 +13,9 @@
 //!
 //! A typical copy op costs 3–6 bytes where the v1 fixed-width framing
 //! paid 9 — on near-duplicate manifests the op overhead roughly halves.
-//! Streams whose first byte is a v1 op tag (`0x00`/`0x01`: u32 fields)
-//! still decode, so logs written before the format bump stay readable.
+//! v1 streams (first byte an op tag `0x00`/`0x01`) are no longer read:
+//! [`decode`] rejects them with [`DeltaError::UnknownOp`], and the store
+//! treats that like any other corrupt record — quarantine and recompile.
 //!
 //! Encoding is greedy: every [`INDEX_STRIDE`]-th base offset is indexed
 //! by the FNV hash of its [`WINDOW`]-byte window; the scan over the new
@@ -34,7 +35,7 @@
 //! it, so a malicious op stream of repeated max-length copies cannot
 //! balloon memory before a post-hoc length check runs.
 
-use crate::chunk::fnv1a;
+use ppet_dedup::feature::fnv1a;
 
 /// Match window width; also the minimum useful copy length.
 pub const WINDOW: usize = 16;
@@ -48,8 +49,8 @@ pub const INDEX_STRIDE: usize = 4;
 /// encoding time on pathological (highly repetitive) bases.
 const MAX_CANDIDATES: usize = 8;
 
-/// Format tag of the varint op encoding. v1 streams start with an op
-/// tag (`0x00` copy / `0x01` literal) instead and take the legacy path.
+/// Format tag of the varint op encoding, the first byte of every
+/// non-empty stream.
 const FORMAT_VARINT: u8 = 0x02;
 
 /// Cap on speculative output preallocation (the declared length is
@@ -61,7 +62,8 @@ const MAX_PREALLOC: usize = 1 << 20;
 pub enum DeltaError {
     /// The op stream ended mid-op.
     Truncated,
-    /// An op tag is not `copy`/`literal`.
+    /// The stream does not start with the v2 format tag; carries the
+    /// byte it starts with (`0x00`/`0x01` for a v1 fixed-width stream).
     UnknownOp(u8),
     /// A copy op points outside the base.
     CopyOutOfRange,
@@ -77,7 +79,7 @@ impl std::fmt::Display for DeltaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeltaError::Truncated => write!(f, "delta op stream truncated"),
-            DeltaError::UnknownOp(op) => write!(f, "unknown delta op {op}"),
+            DeltaError::UnknownOp(tag) => write!(f, "unknown delta format tag {tag}"),
             DeltaError::CopyOutOfRange => write!(f, "copy op exceeds base bounds"),
             DeltaError::TooLarge => write!(f, "delta output exceeds declared length"),
             DeltaError::BadVarint => write!(f, "varint exceeds 64-bit range"),
@@ -198,24 +200,17 @@ fn push_copy(out: &mut Vec<u8>, off: usize, len: usize) {
 ///
 /// # Errors
 ///
-/// [`DeltaError`] when the op stream is truncated, carries an unknown
-/// op or over-long varint, copies outside the base, or produces more
-/// than `expected_len` bytes. (Producing *fewer* bytes is left to the
+/// [`DeltaError`] when the op stream does not start with the v2 format
+/// tag ([`DeltaError::UnknownOp`] with the first byte), is truncated,
+/// carries an over-long varint, copies outside the base, or produces
+/// more than `expected_len` bytes. (Producing *fewer* bytes is left to the
 /// caller's exact length check — a short stream is detectable there,
 /// only overproduction has to be stopped mid-flight.)
 pub fn decode(base: &[u8], delta: &[u8], expected_len: usize) -> Result<Vec<u8>, DeltaError> {
-    if delta.first() == Some(&FORMAT_VARINT) {
-        decode_varint_ops(base, delta, expected_len)
-    } else {
-        decode_legacy(base, delta, expected_len)
+    match delta.first() {
+        None | Some(&FORMAT_VARINT) => {}
+        Some(&other) => return Err(DeltaError::UnknownOp(other)),
     }
-}
-
-fn decode_varint_ops(
-    base: &[u8],
-    delta: &[u8],
-    expected_len: usize,
-) -> Result<Vec<u8>, DeltaError> {
     let mut out = Vec::with_capacity(expected_len.min(MAX_PREALLOC));
     let mut pos = 1usize; // past the format tag
     while pos < delta.len() {
@@ -235,45 +230,6 @@ fn decode_varint_ops(
             let slice = delta.get(pos..end).ok_or(DeltaError::Truncated)?;
             out.extend_from_slice(slice);
             pos = end;
-        }
-    }
-    Ok(out)
-}
-
-/// The v1 fixed-width op stream (`0x00 off:u32 len:u32` copies,
-/// `0x01 len:u32` literals), kept so pre-bump logs replay.
-fn decode_legacy(base: &[u8], delta: &[u8], expected_len: usize) -> Result<Vec<u8>, DeltaError> {
-    let mut out = Vec::with_capacity(expected_len.min(MAX_PREALLOC));
-    let mut pos = 0usize;
-    while pos < delta.len() {
-        let op = delta[pos];
-        pos += 1;
-        match op {
-            0x00 => {
-                let off = read_u32(delta, pos)? as usize;
-                let len = read_u32(delta, pos + 4)? as usize;
-                pos += 8;
-                if exceeds(out.len(), len, expected_len) {
-                    return Err(DeltaError::TooLarge);
-                }
-                let slice = base
-                    .get(off..off.checked_add(len).ok_or(DeltaError::CopyOutOfRange)?)
-                    .ok_or(DeltaError::CopyOutOfRange)?;
-                out.extend_from_slice(slice);
-            }
-            0x01 => {
-                let len = read_u32(delta, pos)? as usize;
-                pos += 4;
-                if exceeds(out.len(), len, expected_len) {
-                    return Err(DeltaError::TooLarge);
-                }
-                let slice = delta
-                    .get(pos..pos.checked_add(len).ok_or(DeltaError::Truncated)?)
-                    .ok_or(DeltaError::Truncated)?;
-                out.extend_from_slice(slice);
-                pos += len;
-            }
-            other => return Err(DeltaError::UnknownOp(other)),
         }
     }
     Ok(out)
@@ -300,13 +256,6 @@ fn read_varint(delta: &[u8], pos: &mut usize) -> Result<u64, DeltaError> {
         }
         shift += 7;
     }
-}
-
-fn read_u32(delta: &[u8], at: usize) -> Result<u32, DeltaError> {
-    delta
-        .get(at..at + 4)
-        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-        .ok_or(DeltaError::Truncated)
 }
 
 #[cfg(test)]
@@ -357,19 +306,35 @@ mod tests {
         assert_eq!(round_trip(b"base", &[]), 0);
     }
 
+    /// v1 fixed-width streams (`0x00 off:u32 len:u32` copies,
+    /// `0x01 len:u32` literals) are rejected by their first byte — an
+    /// ordinary one and a copy bomb alike — before any output buffer is
+    /// allocated, so an old record fails decode and is recompiled.
     #[test]
-    fn legacy_fixed_width_streams_still_decode() {
+    fn v1_streams_are_rejected_without_decoding() {
         let base = b"0123456789abcdef0123456789abcdef".to_vec();
-        // v1 by hand: copy(0, 32) + literal "tail".
         let mut v1 = vec![0x00];
         v1.extend_from_slice(&0u32.to_le_bytes());
         v1.extend_from_slice(&32u32.to_le_bytes());
         v1.push(0x01);
         v1.extend_from_slice(&4u32.to_le_bytes());
         v1.extend_from_slice(b"tail");
-        let mut expect = base.clone();
-        expect.extend_from_slice(b"tail");
-        assert_eq!(decode(&base, &v1, expect.len()).unwrap(), expect);
+        assert_eq!(decode(&base, &v1, 36), Err(DeltaError::UnknownOp(0x00)));
+
+        let mut v1_bomb = Vec::new();
+        for _ in 0..20 {
+            v1_bomb.push(0x00);
+            v1_bomb.extend_from_slice(&0u32.to_le_bytes());
+            v1_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        assert_eq!(
+            decode(&base, &v1_bomb, 100),
+            Err(DeltaError::UnknownOp(0x00))
+        );
+        assert_eq!(
+            decode(&base, &[0x01, 4, 0, 0, 0], 4),
+            Err(DeltaError::UnknownOp(0x01))
+        );
     }
 
     #[test]
@@ -387,10 +352,9 @@ mod tests {
             decode(&base, &good[..3], base.len()),
             Err(DeltaError::Truncated)
         );
-        // Legacy copy pointing far outside the base.
-        let mut bad_copy = vec![0x00];
-        bad_copy.extend_from_slice(&u32::MAX.to_le_bytes());
-        bad_copy.extend_from_slice(&4u32.to_le_bytes());
+        // A copy pointing far outside the base.
+        let mut bad_copy = vec![FORMAT_VARINT];
+        push_copy(&mut bad_copy, u32::MAX as usize, 4);
         assert_eq!(
             decode(&base, &bad_copy, base.len()),
             Err(DeltaError::CopyOutOfRange)
@@ -426,15 +390,6 @@ mod tests {
         }
         assert!(bomb.len() < 100, "the bomb itself is tiny");
         assert_eq!(decode(&base, &bomb, 100), Err(DeltaError::TooLarge));
-
-        // Same attack through the legacy format.
-        let mut legacy_bomb = Vec::new();
-        for _ in 0..20 {
-            legacy_bomb.push(0x00);
-            legacy_bomb.extend_from_slice(&0u32.to_le_bytes());
-            legacy_bomb.extend_from_slice(&(base.len() as u32).to_le_bytes());
-        }
-        assert_eq!(decode(&base, &legacy_bomb, 100), Err(DeltaError::TooLarge));
 
         // A literal bomb: header declares more than the record does.
         let mut lit_bomb = vec![FORMAT_VARINT];

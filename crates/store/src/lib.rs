@@ -13,12 +13,11 @@
 //! * [`segment`] — the append-only segment log: rolling files, fsync
 //!   discipline, and the crash-recovery state machine that truncates torn
 //!   tails and quarantines corrupt frames instead of refusing to open.
-//! * [`chunk`] + [`delta`] — FNV hashing primitives and byte-granular
-//!   delta encoding (varint copy/literal ops, bounded decode), so
-//!   near-duplicate artifacts (manifests of similar netlists) cost a
-//!   fraction of their raw size. Similarity *detection* lives in
-//!   `ppet-dedup`: super-feature sketches clustered incrementally, which
-//!   the store delegates delta-base selection to.
+//! * [`delta`] — byte-granular delta encoding (varint copy/literal ops,
+//!   bounded decode), so near-duplicate artifacts (manifests of similar
+//!   netlists) cost a fraction of their raw size. Similarity *detection*
+//!   lives in `ppet-dedup`: super-feature sketches clustered
+//!   incrementally, which the store delegates delta-base selection to.
 //! * [`store`] — the [`Store`] itself: the recovered index, the
 //!   delta-vs-raw decision rule with bounded-depth chains and a
 //!   decode-cost budget, byte-budget LRU eviction with pinning and
@@ -55,7 +54,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chunk;
 pub mod crc;
 pub mod delta;
 pub mod record;
